@@ -246,6 +246,18 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
         const BranchProfile &P = Profiles.branch(R.Strategies[I].BranchId);
         ProfCorrect += P.executions() - P.profileMispredictions();
       }
+      // Loop size (for budget-aware machine sizing below).
+      const Loop &GroupLoop = PA.loopInfoFor(Plan.Members[0])
+                                  .loops()[static_cast<size_t>(Key.second)];
+      uint64_t GroupLoopSize = 0;
+      for (uint32_t B : GroupLoop.Blocks)
+        GroupLoopSize += M.Functions[Key.first].Blocks[B].Insts.size();
+      // Every joint machine costs at least one loop copy, so when even one
+      // copy breaks the size budget no state count can fit: skip the
+      // profiling and the searches outright.
+      if (R.OrigInstructions + GroupLoopSize > SizeCap)
+        continue;
+
       JointOptions JO;
       JO.MaxStates = Opts.JointMaxStates;
       JO.MaxLen = 4;
@@ -254,16 +266,6 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
       JointProfile JP = profileJointLoop(PA, Plan.Members, T, JO.MaxLen);
       if (JP.Executions == 0)
         continue;
-
-      // Loop size (for budget-aware machine sizing below).
-      const BranchClass &GroupClass = PA.classOf(
-          R.Strategies[Indices.front()].BranchId);
-      const Loop &GroupLoop =
-          PA.loopInfoFor(R.Strategies[Indices.front()].BranchId)
-              .loops()[static_cast<size_t>(GroupClass.LoopIdx)];
-      uint64_t GroupLoopSize = 0;
-      for (uint32_t B : GroupLoop.Blocks)
-        GroupLoopSize += M.Functions[Key.first].Blocks[B].Insts.size();
 
       // Shrink the machine until its copies fit the size budget.
       bool Fits = false;
@@ -295,39 +297,16 @@ PipelineResult bpcr::replicateModule(const Module &M, const ColumnarTrace &T,
 
       // Cost: one loop copy per additional *reachable* state.
       unsigned ReachableStates = 0;
-      {
-        std::vector<uint8_t> Seen(Plan.Machine.numStates(), 0);
-        std::vector<unsigned> Work{Plan.Machine.initialState()};
-        Seen[Plan.Machine.initialState()] = 1;
-        while (!Work.empty()) {
-          unsigned S = Work.back();
-          Work.pop_back();
-          for (size_t J = 0; J < Plan.Members.size(); ++J)
-            for (bool Taken : {false, true}) {
-              unsigned N = Plan.Machine.next(S, static_cast<int>(J), Taken);
-              if (!Seen[N]) {
-                Seen[N] = 1;
-                Work.push_back(N);
-              }
-            }
-        }
-        for (uint8_t B : Seen)
-          ReachableStates += B;
-      }
-      const BranchClass &C = PA.classOf(Plan.Members[0]);
-      const Loop &L = PA.loopInfoFor(Plan.Members[0])
-                          .loops()[static_cast<size_t>(C.LoopIdx)];
-      const Function &F = M.Functions[Key.first];
-      uint64_t LoopSize = 0;
-      for (uint32_t B : L.Blocks)
-        LoopSize += F.Blocks[B].Insts.size();
+      for (uint8_t B : Plan.Machine.reachableStates())
+        ReachableStates += B;
       Plan.Cost = std::max<uint64_t>(
-          LoopSize * (ReachableStates > 1 ? ReachableStates - 1 : 1), 1);
+          GroupLoopSize * (ReachableStates > 1 ? ReachableStates - 1 : 1),
+          1);
 
       uint64_t PerBranchCost = std::max<uint64_t>(
-          LoopSize * (PerBranchStatesProduct > 1
-                          ? PerBranchStatesProduct - 1
-                          : 1),
+          GroupLoopSize * (PerBranchStatesProduct > 1
+                               ? PerBranchStatesProduct - 1
+                               : 1),
           1);
       double JointRatio = static_cast<double>(Plan.Gain) /
                           static_cast<double>(Plan.Cost);
