@@ -149,9 +149,9 @@ struct Args {
   std::string FlameOut;
 };
 
-int usage() {
+void printUsage(std::FILE *Out) {
   std::fprintf(
-      stderr,
+      Out,
       "usage: bpcr <command> [options]\n"
       "\n"
       "commands:\n"
@@ -267,7 +267,13 @@ int usage() {
       "                 default '*')\n"
       "  --sparkline    add a unicode sparkline column to the trend table\n"
       "  -o FILE        output file (trace: .bpct; dump/replicate: module\n"
-      "                 text; sweep: curve table)\n");
+      "                 text; sweep: curve table)\n"
+      "  -h, --help     print this text to stdout and exit 0\n");
+}
+
+/// Usage on stderr after a parse failure; the exit code is 2.
+int usage() {
+  printUsage(stderr);
   return 2;
 }
 
@@ -1674,6 +1680,12 @@ int cmdLint(const Args &A) {
 } // namespace
 
 int main(int Argc, char **Argv) {
+  if (Argc == 2 && (std::strcmp(Argv[1], "--help") == 0 ||
+                    std::strcmp(Argv[1], "-h") == 0)) {
+    printUsage(stdout);
+    return 0;
+  }
+
   // Span tracing is orthogonal to the subcommands: the flag is spliced out
   // before command parsing and the timeline is written after the command
   // finishes, whatever it was.
