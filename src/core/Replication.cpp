@@ -367,11 +367,21 @@ namespace {
 class PredictionCheckSink : public TraceSink {
 public:
   void onBranch(const Instruction &Br, bool Taken) override {
-    bool Pred = Br.Predicted != Prediction::NotTaken;
-    Stats.record(Pred == Taken);
+    score(Br, Taken);
+  }
+
+  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
+    for (size_t I = 0; I < N; ++I)
+      score(*Ev[I].Br, Ev[I].Taken);
   }
 
   PredictionStats Stats;
+
+private:
+  void score(const Instruction &Br, bool Taken) {
+    bool Pred = Br.Predicted != Prediction::NotTaken;
+    Stats.record(Pred == Taken);
+  }
 };
 
 } // namespace
@@ -391,6 +401,18 @@ namespace {
 class PerReplicaSink : public TraceSink {
 public:
   void onBranch(const Instruction &Br, bool Taken) override {
+    score(Br, Taken);
+  }
+
+  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
+    for (size_t I = 0; I < N; ++I)
+      score(*Ev[I].Br, Ev[I].Taken);
+  }
+
+  std::vector<ReplicaMeasurement> Copies;
+
+private:
+  void score(const Instruction &Br, bool Taken) {
     if (Br.BranchId < 0)
       return;
     size_t Idx = static_cast<size_t>(Br.BranchId);
@@ -404,8 +426,6 @@ public:
     if (Pred != Taken)
       ++C.Mispredictions;
   }
-
-  std::vector<ReplicaMeasurement> Copies;
 };
 
 } // namespace

@@ -8,6 +8,7 @@
 
 #include "core/SearchCache.h"
 #include "obs/Metrics.h"
+#include "obs/TraceSpans.h"
 #include "trace/ColumnarTrace.h"
 #include "sa/Dataflow.h"
 #include "support/ThreadPool.h"
@@ -64,7 +65,9 @@ selectStrategiesImpl(const ProgramAnalysis &PA, const ProfileSet &Profiles,
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
                                       !Opts.DirectPathsOnly);
   }
+  Span PathSpan("search.correlated.path_profile", "search");
   std::vector<PathProfile> PathProfiles = profilePaths(Candidates, T, PathLen);
+  PathSpan.end();
 
   Registry &Obs = Registry::global();
   const bool ObsOn = Obs.enabled();

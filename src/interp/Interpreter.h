@@ -10,6 +10,15 @@
 /// evaluation consumes only the branch event stream, which the interpreter
 /// produces exactly.
 ///
+/// Each call decodes the module into a flat array of compact ops (block
+/// targets resolved to op indexes, operand kinds folded into the op code,
+/// a compare and the branch testing its result fused into one op, one
+/// register stack shared by all frames) and runs a single threaded dispatch
+/// loop over it. Nothing is cached across calls: the pipeline annotates and
+/// replicates modules between runs, and decoding costs far less than a run.
+/// The module need not be verified; an out-of-range register, callee or
+/// argument count is reported as an error before anything executes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef BPCR_INTERP_INTERPRETER_H
@@ -40,7 +49,8 @@ struct ExecOptions {
 
 /// Outcome of one execution.
 struct ExecResult {
-  /// False on a runtime error (bad memory access, fuel exhaustion, ...).
+  /// False on a runtime error (bad memory access, fuel exhaustion, ...) or
+  /// a malformed module (nothing executed then).
   bool Ok = false;
   std::string Error;
   /// Entry function return value (meaningful when Ok).

@@ -40,6 +40,18 @@ public:
       : TS(TS), Tracer(Tracer), WallOn(Tracer.enabled()) {}
 
   void onBranch(const Instruction &Br, bool Taken) override {
+    record(Br, Taken);
+  }
+
+  void onBatch(const BranchBatchEvent *Ev, size_t N) override {
+    for (size_t I = 0; I < N; ++I)
+      record(*Ev[I].Br, Ev[I].Taken);
+  }
+
+  uint64_t eventCount() const { return Index; }
+
+private:
+  void record(const Instruction &Br, bool Taken) {
     bool Predicted = Br.Predicted != Prediction::NotTaken;
     uint64_t WallNs = 0;
     if (WallOn && (Index & 255) == 0)
@@ -48,9 +60,6 @@ public:
     ++Index;
   }
 
-  uint64_t eventCount() const { return Index; }
-
-private:
   TimeSeries &TS;
   SpanTracer &Tracer;
   bool WallOn;

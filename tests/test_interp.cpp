@@ -489,3 +489,139 @@ TEST_P(InterpFuzz, RandomStraightLineProgramsMatchHostSemantics) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InterpFuzz,
                          ::testing::Range<uint64_t>(0, 16));
+
+// -- Malformed modules ------------------------------------------------------
+//
+// execute() does not require a verified module. Everything that would index
+// outside a register file or the function table is rejected before the
+// first instruction runs, with an error naming the function, block and
+// instruction.
+
+namespace {
+
+/// main(r0, r1) with two registers; block 0 holds \p Insts then ret 0.
+Module twoRegModule(std::vector<Instruction> Insts) {
+  Module M;
+  M.MemWords = 4;
+  uint32_t Main = M.addFunction("main", 0);
+  M.Functions[Main].NumRegs = 2;
+  M.Functions[Main].Blocks.resize(1);
+  std::vector<Instruction> &Body = M.Functions[Main].Blocks[0].Insts;
+  Instruction Mov;
+  Mov.Op = Opcode::Mov;
+  Mov.Dst = 0;
+  Mov.A = K(1);
+  Body.push_back(Mov);
+  for (Instruction &I : Insts)
+    Body.push_back(std::move(I));
+  Instruction Ret;
+  Ret.Op = Opcode::Ret;
+  Ret.A = K(0);
+  Body.push_back(Ret);
+  return M;
+}
+
+Instruction aluInst(Opcode Op, Reg Dst, Operand A, Operand B) {
+  Instruction I;
+  I.Op = Op;
+  I.Dst = Dst;
+  I.A = A;
+  I.B = B;
+  return I;
+}
+
+void expectRejected(const Module &M, const std::string &Where,
+                    const std::string &What) {
+  CollectingSink Sink;
+  ExecResult Res = execute(M, &Sink);
+  EXPECT_FALSE(Res.Ok);
+  EXPECT_EQ(Res.InstructionsExecuted, 0u);
+  EXPECT_TRUE(Sink.trace().empty());
+  EXPECT_EQ(Res.Error.rfind("malformed module: function ", 0), 0u)
+      << Res.Error;
+  EXPECT_NE(Res.Error.find(Where), std::string::npos) << Res.Error;
+  EXPECT_NE(Res.Error.find(What), std::string::npos) << Res.Error;
+}
+
+} // namespace
+
+TEST(InterpMalformed, OperandRegisterOutOfRange) {
+  expectRejected(twoRegModule({aluInst(Opcode::Add, 0, R(0), R(2))}),
+                 "function 0 'main', block 0, instruction 1",
+                 "register r2 out of range (2 registers)");
+  // Past the 16-bit register index space too: no silent truncation.
+  Module Wide = twoRegModule({aluInst(Opcode::Mov, 0, K(0), K(0))});
+  Wide.Functions[0].Blocks[0].Insts[1].A = {Operand::Kind::Reg, 65536};
+  expectRejected(Wide, "function 0 'main', block 0, instruction 1",
+                 "register r65536 out of range");
+}
+
+TEST(InterpMalformed, DstRegisterOutOfRange) {
+  expectRejected(twoRegModule({aluInst(Opcode::CmpLt, 5, R(0), K(3))}),
+                 "block 0, instruction 1", "register r5 out of range");
+  expectRejected(twoRegModule({aluInst(Opcode::Load, 2, K(0), K(0))}),
+                 "block 0, instruction 1", "register r2 out of range");
+}
+
+TEST(InterpMalformed, StoreBranchAndReturnOperands) {
+  Instruction St = aluInst(Opcode::Store, 0, K(0), K(0));
+  St.C = R(3);
+  expectRejected(twoRegModule({St}), "instruction 1",
+                 "register r3 out of range");
+  Module BadRet = twoRegModule({});
+  BadRet.Functions[0].Blocks[0].Insts.back().A = R(9);
+  expectRejected(BadRet, "instruction 1", "register r9 out of range");
+  Module BadBr = twoRegModule({});
+  Instruction Br;
+  Br.Op = Opcode::Br;
+  Br.A = R(2);
+  BadBr.Functions[0].Blocks[0].Insts.back() = Br;
+  expectRejected(BadBr, "instruction 1", "register r2 out of range");
+}
+
+TEST(InterpMalformed, CalleeOutOfRange) {
+  Instruction Call = aluInst(Opcode::Call, 0, Operand::none(),
+                             Operand::none());
+  Call.Callee = 3;
+  expectRejected(twoRegModule({Call}), "block 0, instruction 1",
+                 "callee 3 out of range (1 functions)");
+}
+
+TEST(InterpMalformed, MoreArgumentsThanCalleeRegisters) {
+  Module M = twoRegModule({});
+  uint32_t G = M.addFunction("g", 1);
+  M.Functions[G].NumRegs = 1;
+  M.Functions[G].Blocks.resize(1);
+  M.Functions[G].Blocks[0].Insts.push_back(
+      aluInst(Opcode::Ret, 0, R(0), Operand::none()));
+  Instruction Call = aluInst(Opcode::Call, 1, Operand::none(),
+                             Operand::none());
+  Call.Callee = G;
+  Call.Args = {K(1), K(2)};
+  auto &Body = M.Functions[0].Blocks[0].Insts;
+  Body.insert(Body.end() - 1, Call);
+  expectRejected(M, "function 0 'main', block 0, instruction 1",
+                 "passes 2 arguments to a callee with 1 registers");
+
+  // A call argument that names a missing caller register.
+  Body[1].Args = {R(7)};
+  expectRejected(M, "instruction 1", "register r7 out of range");
+}
+
+TEST(InterpMalformed, UnreachableFunctionIsStillChecked) {
+  Module M = twoRegModule({});
+  uint32_t Dead = M.addFunction("dead", 0);
+  M.Functions[Dead].NumRegs = 1;
+  M.Functions[Dead].Blocks.resize(2);
+  M.Functions[Dead].Blocks[1].Insts.push_back(
+      aluInst(Opcode::Ret, 0, R(1), Operand::none()));
+  expectRejected(M, "function 1 'dead', block 1, instruction 0",
+                 "register r1 out of range (1 registers)");
+}
+
+TEST(InterpMalformed, WellFormedModulesStillRun) {
+  // The same shapes with in-range indexes run normally.
+  ExecResult Res =
+      execute(twoRegModule({aluInst(Opcode::Add, 1, R(0), K(41))}));
+  EXPECT_TRUE(Res.Ok) << Res.Error;
+}

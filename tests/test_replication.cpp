@@ -14,12 +14,15 @@
 #include "core/ProgramAnalysis.h"
 #include "core/Replication.h"
 #include "interp/Interpreter.h"
+#include "interp/TimelineSink.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
 #include "trace/Sinks.h"
 #include "workloads/Workload.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace bpcr;
 
@@ -538,4 +541,95 @@ TEST(CorrelatedReplication, TwoStepPathsChainThroughMiddleBlock) {
   // Branch 3 executes 240 times at ~50% profile misprediction; the chained
   // replication should recover nearly all of it.
   EXPECT_LE(Measured.Mispredictions + 100, Profile.Mispredictions);
+}
+
+// -- Batched measurement sinks ------------------------------------------------
+
+namespace {
+
+/// Every event of one run, for scoring one event at a time.
+class EventLog : public TraceSink {
+public:
+  void onBranch(const Instruction &Br, bool Taken) override {
+    Events.push_back({&Br, Taken});
+  }
+  std::vector<BranchBatchEvent> Events;
+};
+
+} // namespace
+
+TEST(Replication, BatchedMeasurementSinksMatchSingleEvents) {
+  const Workload *Compress = nullptr;
+  for (const Workload &W : allWorkloads())
+    if (std::string(W.Name) == "compress")
+      Compress = &W;
+  ASSERT_NE(Compress, nullptr);
+  Module M;
+  ColumnarTrace CT = traceWorkloadColumnar(*Compress, 1, M, 20'000);
+  PipelineOptions PO;
+  PO.MaxSizeFactor = 2.0;
+  PO.Strategy.Jobs = 1;
+  const Module X = replicateModule(M, CT, PO).Transformed;
+  ExecOptions EO;
+  EO.MaxBranchEvents = 20'000;
+
+  EventLog Log;
+  ASSERT_TRUE(execute(X, &Log, EO).Ok);
+  ASSERT_EQ(Log.Events.size(), 20'000u);
+
+  // The aggregate and per-copy scores, computed event by event.
+  PredictionStats Want;
+  std::map<int32_t, ReplicaMeasurement> WantCopies;
+  for (const BranchBatchEvent &E : Log.Events) {
+    bool Miss = (E.Br->Predicted != Prediction::NotTaken) != E.Taken;
+    Want.record(!Miss);
+    ReplicaMeasurement &C = WantCopies[E.Br->BranchId];
+    C.OrigBranchId = E.Br->OrigBranchId;
+    C.ReplicaId = E.Br->BranchId;
+    ++C.Executions;
+    C.Mispredictions += Miss;
+  }
+
+  PredictionStats Got = measureAnnotatedPredictions(X, EO);
+  EXPECT_EQ(Got.Predictions, Want.Predictions);
+  EXPECT_EQ(Got.Mispredictions, Want.Mispredictions);
+
+  std::vector<ReplicaMeasurement> Copies = measureAnnotatedPerReplica(X, EO);
+  ASSERT_EQ(Copies.size(), WantCopies.size());
+  for (const ReplicaMeasurement &C : Copies) {
+    const ReplicaMeasurement &W = WantCopies[C.ReplicaId];
+    EXPECT_EQ(C.OrigBranchId, W.OrigBranchId);
+    EXPECT_EQ(C.Executions, W.Executions) << "copy " << C.ReplicaId;
+    EXPECT_EQ(C.Mispredictions, W.Mispredictions) << "copy " << C.ReplicaId;
+  }
+
+  // The timeline sink fills the same windows from batches as from single
+  // events (64-event windows, so many of them and several per batch).
+  TimeSeriesOptions TO;
+  TO.WindowEvents = 64;
+  uint32_t NB = static_cast<uint32_t>(X.conditionalBranchCount());
+  TimeSeries Batched(TO, NB), Single(TO, NB);
+  TimelineSink BatchedSink(Batched);
+  ASSERT_TRUE(execute(X, &BatchedSink, EO).Ok);
+  TimelineSink SingleSink(Single);
+  for (const BranchBatchEvent &E : Log.Events)
+    SingleSink.onBranch(*E.Br, E.Taken);
+  TimeSeriesData B = Batched.snapshot(), S = Single.snapshot();
+  EXPECT_EQ(BatchedSink.eventCount(), SingleSink.eventCount());
+  EXPECT_EQ(B.TotalEvents, S.TotalEvents);
+  EXPECT_EQ(B.TotalTaken, S.TotalTaken);
+  EXPECT_EQ(B.TotalMispredictions, S.TotalMispredictions);
+  ASSERT_EQ(B.Windows.size(), S.Windows.size());
+  for (size_t W = 0; W < B.Windows.size(); ++W) {
+    EXPECT_EQ(B.Windows[W].Events, S.Windows[W].Events);
+    EXPECT_EQ(B.Windows[W].Taken, S.Windows[W].Taken);
+    EXPECT_EQ(B.Windows[W].Mispredictions, S.Windows[W].Mispredictions);
+    ASSERT_EQ(B.Windows[W].Branches.size(), S.Windows[W].Branches.size());
+    for (size_t I = 0; I < B.Windows[W].Branches.size(); ++I) {
+      EXPECT_EQ(B.Windows[W].Branches[I].Events,
+                S.Windows[W].Branches[I].Events);
+      EXPECT_EQ(B.Windows[W].Branches[I].Mispredictions,
+                S.Windows[W].Branches[I].Mispredictions);
+    }
+  }
 }
