@@ -10,7 +10,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
+#include <cstdint>
 
 using namespace bpcr;
 
@@ -66,63 +66,150 @@ namespace {
 /// Shared global-order pass of profilePaths. \p EventAt yields the I-th
 /// event (id, taken) so the legacy vector-of-structs trace and the
 /// columnar trace share one body and stay bit-identical.
+///
+/// The longest candidate path that ends at an event is found by an
+/// Aho-Corasick automaton over every branch's candidates (one multi-pattern
+/// Morris-Pratt matcher). Its state is the longest suffix of the history
+/// that is a prefix of some candidate, so every candidate that is a suffix
+/// of the history is a suffix of the state's string, and each state knows
+/// per branch which candidate that is. The pass therefore does one count
+/// increment and one next-state read per event, with no window or probe.
+///
+/// The alphabet is dense: symbol S = BranchId<<1 | Taken of an in-range
+/// branch is column S, symbols of out-of-range ids that occur in candidate
+/// steps follow, and the last column stands for every other symbol (it
+/// leads back to the root from any state).
 template <class EventFn>
 std::vector<PathProfile> profilePathsImpl(
     const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
     size_t NumEvents, EventFn EventAt, unsigned MaxPathLen) {
-  size_t NumBranches = CandidatesByBranch.size();
+  const size_t NumBranches = CandidatesByBranch.size();
   std::vector<PathProfile> Out(NumBranches);
 
-  // Candidate lookup per branch; remember the longest candidate to bound
-  // the suffix probing.
-  std::vector<std::map<SymbolString, size_t>> Lookup(NumBranches);
-  std::vector<size_t> Longest(NumBranches, 0);
-  std::vector<std::map<SymbolString, DirCounts>> Accum(NumBranches);
-  for (size_t B = 0; B < NumBranches; ++B)
-    for (const BranchPath &P : CandidatesByBranch[B]) {
-      if (P.Steps.empty() || P.Steps.size() > MaxPathLen)
-        continue;
-      Lookup[B].emplace(encodePathSteps(P), 0);
-      Longest[B] = std::max(Longest[B], P.Steps.size());
-    }
+  // Every branch's distinct usable candidates in SymbolString order. Slots
+  // are global; branch B owns [SlotBegin[B], SlotBegin[B + 1]).
+  std::vector<SymbolString> Keys;
+  std::vector<uint32_t> SlotBegin(NumBranches + 1, 0);
+  for (size_t B = 0; B < NumBranches; ++B) {
+    SlotBegin[B] = static_cast<uint32_t>(Keys.size());
+    for (const BranchPath &P : CandidatesByBranch[B])
+      if (!P.Steps.empty() && P.Steps.size() <= MaxPathLen)
+        Keys.push_back(encodePathSteps(P));
+    std::sort(Keys.begin() + SlotBegin[B], Keys.end());
+    Keys.erase(std::unique(Keys.begin() + SlotBegin[B], Keys.end()),
+               Keys.end());
+  }
+  SlotBegin[NumBranches] = static_cast<uint32_t>(Keys.size());
 
-  // One pass; the window holds the last MaxPathLen encoded events. Both
-  // the window and the probe key are reused across the whole trace — this
-  // loop runs once per branch event and must not allocate per event.
-  SymbolString Window;
-  Window.reserve(MaxPathLen + 1);
-  SymbolString Key;
-  Key.reserve(MaxPathLen);
+  const uint32_t InRangeSyms = static_cast<uint32_t>(2 * NumBranches);
+  std::vector<uint32_t> ForeignSyms;
+  for (const SymbolString &Key : Keys)
+    for (uint32_t Sym : Key)
+      if (Sym >= InRangeSyms)
+        ForeignSyms.push_back(Sym);
+  std::sort(ForeignSyms.begin(), ForeignSyms.end());
+  ForeignSyms.erase(std::unique(ForeignSyms.begin(), ForeignSyms.end()),
+                    ForeignSyms.end());
+  const uint32_t Alpha =
+      InRangeSyms + static_cast<uint32_t>(ForeignSyms.size()) + 1;
+  auto ColumnOf = [&](uint32_t Sym) -> uint32_t {
+    if (Sym < InRangeSyms)
+      return Sym;
+    auto It = std::lower_bound(ForeignSyms.begin(), ForeignSyms.end(), Sym);
+    if (It != ForeignSyms.end() && *It == Sym)
+      return InRangeSyms + static_cast<uint32_t>(It - ForeignSyms.begin());
+    return Alpha - 1;
+  };
+
+  // Trie of the candidates in forward order. Next[State * Alpha + Column]
+  // holds the target state's row offset (state * Alpha); while building,
+  // 0 means "no child" since the root is nobody's child.
+  std::vector<uint32_t> Next(Alpha, 0);
+  std::vector<uint32_t> KeyRow(Keys.size());
+  for (size_t Slot = 0; Slot < Keys.size(); ++Slot) {
+    uint32_t Row = 0;
+    for (uint32_t Sym : Keys[Slot]) {
+      size_t Cell = Row + ColumnOf(Sym);
+      if (!Next[Cell]) {
+        assert(Next.size() + Alpha <= UINT32_MAX && "automaton too large");
+        Next[Cell] = static_cast<uint32_t>(Next.size());
+        Next.resize(Next.size() + Alpha, 0);
+      }
+      Row = Next[Cell];
+    }
+    KeyRow[Slot] = Row;
+  }
+  const size_t NumStates = Next.size() / Alpha;
+
+  // Match[State * NumBranches + B]: slot of B's longest candidate that is
+  // a suffix of the state's string. A state's own terminals win; the rest
+  // it inherits from its failure state.
+  constexpr uint32_t NoSlot = UINT32_MAX;
+  std::vector<uint32_t> Match(NumStates * NumBranches, NoSlot);
+  for (size_t B = 0; B < NumBranches; ++B)
+    for (uint32_t Slot = SlotBegin[B]; Slot < SlotBegin[B + 1]; ++Slot)
+      Match[KeyRow[Slot] / Alpha * NumBranches + B] = Slot;
+
+  // Failure links by BFS; completing each row from its failure state's
+  // row (already complete, being shallower) makes Next a goto table.
+  std::vector<uint32_t> FailRow(NumStates, 0);
+  std::vector<uint32_t> Queue;
+  Queue.reserve(NumStates);
+  for (uint32_t C = 0; C < Alpha; ++C)
+    if (Next[C])
+      Queue.push_back(Next[C]);
+  for (size_t Q = 0; Q < Queue.size(); ++Q) {
+    const uint32_t Row = Queue[Q];
+    const uint32_t Fail = FailRow[Row / Alpha];
+    uint32_t *Own = &Match[Row / Alpha * NumBranches];
+    const uint32_t *Inherited = &Match[Fail / Alpha * NumBranches];
+    for (size_t B = 0; B < NumBranches; ++B)
+      if (Own[B] == NoSlot)
+        Own[B] = Inherited[B];
+    for (uint32_t C = 0; C < Alpha; ++C) {
+      uint32_t &To = Next[Row + C];
+      if (To) {
+        FailRow[To / Alpha] = Next[Fail + C];
+        Queue.push_back(To);
+      } else {
+        To = Next[Fail + C];
+      }
+    }
+  }
+
+  // The pass: events of in-range branches are counted per (state,
+  // symbol); out-of-range ids only move the automaton.
+  std::vector<uint64_t> Counts(Next.size(), 0);
+  uint32_t Row = 0;
   for (size_t I = 0; I < NumEvents; ++I) {
     const PathStep E = EventAt(I);
-    size_t B = static_cast<size_t>(E.BranchId);
-    if (B < NumBranches && !Lookup[B].empty()) {
-      bool Matched = false;
-      for (size_t L = std::min(Window.size(), Longest[B]); L >= 1; --L) {
-        Key.assign(Window.end() - static_cast<long>(L), Window.end());
-        if (Lookup[B].count(Key)) {
-          Accum[B][Key].record(E.Taken);
-          Matched = true;
-          break;
-        }
-        if (L == 1)
-          break;
-      }
-      if (!Matched)
-        Out[B].Unmatched.record(E.Taken);
-    } else if (B < NumBranches) {
-      Out[B].Unmatched.record(E.Taken);
+    const uint32_t Sym = encodeStep(E);
+    size_t Cell;
+    if (static_cast<uint32_t>(E.BranchId) < NumBranches) {
+      Cell = Row + Sym;
+      ++Counts[Cell];
+    } else {
+      Cell = Row + ColumnOf(Sym);
     }
-    if (Window.size() == MaxPathLen)
-      Window.erase(Window.begin());
-    Window.push_back(encodeStep(E));
+    Row = Next[Cell];
   }
 
-  for (size_t B = 0; B < NumBranches; ++B) {
-    Out[B].PerPath.reserve(Accum[B].size());
-    for (auto &[Path, Counts] : Accum[B])
-      Out[B].PerPath.emplace_back(Path, Counts);
-  }
+  // Fold the counts into each branch's matched slot or unmatched bucket.
+  std::vector<DirCounts> PerSlot(Keys.size());
+  for (size_t S = 0; S < NumStates; ++S)
+    for (size_t B = 0; B < NumBranches; ++B) {
+      const uint64_t *C = &Counts[S * Alpha + 2 * B];
+      if (!C[0] && !C[1])
+        continue;
+      uint32_t Slot = Match[S * NumBranches + B];
+      DirCounts &D = Slot == NoSlot ? Out[B].Unmatched : PerSlot[Slot];
+      D.NotTaken += C[0];
+      D.Taken += C[1];
+    }
+  for (size_t B = 0; B < NumBranches; ++B)
+    for (uint32_t Slot = SlotBegin[B]; Slot < SlotBegin[B + 1]; ++Slot)
+      if (PerSlot[Slot].total())
+        Out[B].PerPath.emplace_back(std::move(Keys[Slot]), PerSlot[Slot]);
   return Out;
 }
 

@@ -86,11 +86,17 @@ struct PathProfile {
 /// Packs decision steps into selection symbols (one per step).
 SymbolString encodePathSteps(const BranchPath &P);
 
-/// Profiles candidate paths for many branches in a single trace pass.
+/// Profiles candidate paths for many branches in a single trace pass: one
+/// automaton step per event finds, for every execution of a branch with
+/// candidates, the longest one that ends at it.
 ///
 /// \param CandidatesByBranch candidate paths per branch id (empty entries
-///        are skipped).
-/// \param MaxPathLen window length (must cover the longest candidate).
+///        are skipped). A path may be listed for several branches;
+///        duplicates within one branch count once.
+/// \param MaxPathLen longest usable candidate; empty and longer candidates
+///        are ignored, so 0 leaves every execution unmatched. Events with
+///        ids outside CandidatesByBranch are not counted but still form
+///        the history that candidates match against.
 std::vector<PathProfile>
 profilePaths(const std::vector<std::vector<BranchPath>> &CandidatesByBranch,
              const Trace &T, unsigned MaxPathLen);

@@ -99,7 +99,9 @@ std::vector<SweepPoint> computeSizeSweepImpl(const ProgramAnalysis &PA,
     Candidates[Id] = PA.backwardPaths(static_cast<int32_t>(Id), PathLen,
                                       /*ThroughJumps=*/true);
   }
+  Span PathSpan("search.correlated.path_profile", "search");
   std::vector<PathProfile> Paths = profilePaths(Candidates, T, PathLen);
+  PathSpan.end();
 
   // Build ladders, one independent task per branch. Each branch's whole
   // ladder comes from the memoized downward-fill search (one deep run

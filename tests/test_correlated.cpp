@@ -6,6 +6,7 @@
 
 #include "core/CorrelatedMachine.h"
 #include "support/Rng.h"
+#include "trace/ColumnarTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,58 @@ TEST(PathProfiler, UnmatchedBucketCatchesTheRest) {
     Matched += C.total();
   EXPECT_EQ(Matched + Profiles[2].Unmatched.total(), 1000u);
   EXPECT_GT(Profiles[2].Unmatched.total(), 0u);
+}
+
+TEST(PathProfiler, ZeroMaxPathLenLeavesEveryEventUnmatched) {
+  // Every candidate is longer than a zero-length window, so no branch has
+  // a usable candidate: each execution lands in its unmatched bucket.
+  std::vector<std::vector<BranchPath>> Cands(3);
+  Cands[2] = {path({{1, true}}), path({{0, false}, {1, true}})};
+  Cands[1] = {path({{0, true}})};
+  Trace T = copyThroughNoise(500, 7);
+  ColumnarTrace CT = ColumnarTrace::fromEvents(T);
+  for (const std::vector<PathProfile> &Profiles :
+       {profilePaths(Cands, T, 0), profilePaths(Cands, CT, 0)}) {
+    ASSERT_EQ(Profiles.size(), 3u);
+    for (int32_t B = 0; B < 3; ++B) {
+      DirCounts Want;
+      for (const BranchEvent &E : T)
+        if (E.BranchId == B)
+          Want.record(E.Taken);
+      EXPECT_TRUE(Profiles[B].PerPath.empty());
+      EXPECT_EQ(Profiles[B].Unmatched.Taken, Want.Taken);
+      EXPECT_EQ(Profiles[B].Unmatched.NotTaken, Want.NotTaken);
+    }
+  }
+}
+
+TEST(PathProfiler, OutOfRangeIdsEnterHistoryButAreNotCounted) {
+  std::vector<std::vector<BranchPath>> Cands(2);
+  Cands[1] = {path({{-1, true}}), path({{5, false}, {0, true}})};
+  Trace T = {{-1, true}, {1, true},              // matches [(-1,T)]
+             {5, false}, {0, true}, {1, false},  // matches [(5,F),(0,T)]
+             {7, true},  {1, true},              // no candidate ends here
+             {-4, false}};
+  ColumnarTrace CT = ColumnarTrace::fromEvents(T);
+  for (const std::vector<PathProfile> &Profiles :
+       {profilePaths(Cands, T, 2), profilePaths(Cands, CT, 2)}) {
+    ASSERT_EQ(Profiles.size(), 2u);
+    // Branch 0 has no candidates; ids -1, 5, 7 and -4 are counted nowhere.
+    EXPECT_TRUE(Profiles[0].PerPath.empty());
+    EXPECT_EQ(Profiles[0].Unmatched.Taken, 1u);
+    EXPECT_EQ(Profiles[0].Unmatched.NotTaken, 0u);
+    // PerPath is in SymbolString order: [(5,F),(0,T)] = {10, 1} sorts
+    // before [(-1,T)] = {0xFFFFFFFF}.
+    ASSERT_EQ(Profiles[1].PerPath.size(), 2u);
+    EXPECT_EQ(Profiles[1].PerPath[0].first, (SymbolString{10u, 1u}));
+    EXPECT_EQ(Profiles[1].PerPath[0].second.NotTaken, 1u);
+    EXPECT_EQ(Profiles[1].PerPath[0].second.Taken, 0u);
+    EXPECT_EQ(Profiles[1].PerPath[1].first, (SymbolString{0xFFFFFFFFu}));
+    EXPECT_EQ(Profiles[1].PerPath[1].second.Taken, 1u);
+    EXPECT_EQ(Profiles[1].PerPath[1].second.NotTaken, 0u);
+    EXPECT_EQ(Profiles[1].Unmatched.Taken, 1u);
+    EXPECT_EQ(Profiles[1].Unmatched.NotTaken, 0u);
+  }
 }
 
 TEST(CorrelatedMachine, SolvesCopyBranch) {
